@@ -458,8 +458,9 @@ def _load_or_train(model_path: str | None, seed: int, machine: Machine) -> DrBwC
     if model_path:
         return DrBwClassifier.load(model_path)
     print("no --model given; training on the mini-programs ...", file=sys.stderr)
-    clf, _ = train_default_classifier(machine, seed=seed)
-    return clf
+    from repro.core.modelstore import default_store
+
+    return default_store().classifier(machine, seed)
 
 
 def _resolve_benchmark(args) -> tuple:

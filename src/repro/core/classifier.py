@@ -310,6 +310,13 @@ class DrBwClassifier:
             "root": node_dict(self.tree.root),
         }
 
+    def digest(self) -> str:
+        """Short SHA-256 of the canonical :meth:`to_dict` form: the model's
+        lineage id.  Equal digests mean byte-identical verdicts."""
+        from repro.parallel.seeding import config_hash
+
+        return config_hash(self.to_dict())[:16]
+
     @classmethod
     def from_dict(cls, data: dict) -> "DrBwClassifier":
         """Rebuild a trained classifier from :meth:`to_dict` output.

@@ -6,7 +6,8 @@ renders in the paper's layout.  The benchmark harness under
 ``benchmarks/`` calls these drivers one table/figure at a time.
 
 A single trained classifier is shared across experiments via
-:func:`shared_classifier` — training takes a few seconds and every
+:func:`shared_classifier`, a thin accessor over the model store
+(:mod:`repro.core.modelstore`) — training takes a few seconds and every
 detection experiment needs the same model, as in the paper's workflow
 (train once on the mini-programs, apply everywhere).
 """
@@ -14,18 +15,14 @@ detection experiment needs the same model, as in the paper's workflow
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from repro.core.classifier import DrBwClassifier, classify_benchmark, classify_case
 from repro.core.diagnoser import Diagnoser, DiagnosisReport
 from repro.core.profiler import DrBwProfiler, ProfilerConfig
-from repro.core.training import (
-    TrainingInstance,
-    train_default_classifier,
-    training_matrix,
-)
+from repro.core.modelstore import default_store
+from repro.core.training import TrainingInstance, training_matrix
 from repro.core.validation import ConfusionMatrix, CrossValidationResult, cross_validate
 from repro.eval.configs import EVAL_CONFIGS, RunConfig
 from repro.numasim.machine import Machine
@@ -58,12 +55,10 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=2)
 def shared_classifier(seed: int = 0) -> tuple[DrBwClassifier, tuple[TrainingInstance, ...]]:
-    """Train (once) the default DR-BW classifier on the Table II data."""
-    machine = Machine()
-    clf, instances = train_default_classifier(machine, seed=seed)
-    return clf, tuple(instances)
+    """The default DR-BW classifier and its Table II training instances,
+    from the model store (trained once per key per process)."""
+    return default_store().trained(Machine(), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 600.0,
-        poll_s: float = 0.05,
+        poll_s: float = 0.005,
         poll_max_s: float = 2.0,
     ) -> dict:
         """Poll until the job reaches a terminal state; returns the result.
@@ -243,9 +243,18 @@ class ServiceClient:
             self._sleep(min(delay, max(0.0, deadline - time.monotonic())))
             delay = min(delay * 2.0, poll_max_s)
 
-    def run(self, spec: dict, timeout: float = 600.0, poll_s: float = 0.05) -> dict:
+    def run(
+        self,
+        spec: dict,
+        timeout: float = 600.0,
+        poll_s: float = 0.005,
+        poll_max_s: float = 2.0,
+    ) -> dict:
         """Submit and wait — the one-call path scripts want."""
-        return self.wait(self.submit(spec)["id"], timeout=timeout, poll_s=poll_s)
+        return self.wait(
+            self.submit(spec)["id"], timeout=timeout,
+            poll_s=poll_s, poll_max_s=poll_max_s,
+        )
 
     def metrics(self) -> str:
         _, _, body = self._request("/metrics")

@@ -182,11 +182,11 @@ def job_key(spec: Any) -> str:
 # -- execution --------------------------------------------------------------------
 
 
-def _execute_detect(spec: dict) -> dict:
+def _execute_detect(spec: dict, model_cache) -> dict:
     from repro.core.classifier import DrBwClassifier, classify_case
     from repro.core.diagnoser import Diagnoser
+    from repro.core.modelstore import default_store
     from repro.core.profiler import DrBwProfiler, ProfilerConfig
-    from repro.core.training import train_default_classifier
     from repro.numasim.machine import Machine
     from repro.workloads.suites.registry import BENCHMARKS
 
@@ -194,7 +194,8 @@ def _execute_detect(spec: dict) -> dict:
     if spec["model"]:
         clf = DrBwClassifier.load(spec["model"])
     else:
-        clf, _ = train_default_classifier(machine, seed=spec["seed"])
+        # The training seed is the job seed; the store trains once per key.
+        clf = default_store().classifier(machine, spec["seed"], cache=model_cache)
 
     profiler_cfg = ProfilerConfig()
     if spec["faults"]:
@@ -239,13 +240,16 @@ def _execute_detect(spec: dict) -> dict:
     return result
 
 
-def execute_job(spec: Any) -> dict:
+def execute_job(spec: Any, *, model_cache=None) -> dict:
     """Run one job and return its plain-JSON result.
 
     Accepts raw or normalized specs (normalization is idempotent), so
     the CLI and the service worker call the same entry point.  The
     result is canonical-JSON-serializable; the service stores
     ``canonical_json(result)`` verbatim as the job's result bytes.
+
+    ``model_cache`` (a ``ResultCache``) is the model store's disk tier
+    for jobs that name no model; jobs with a model file never touch it.
     """
     spec = normalize_job(spec)
     from repro import telemetry
@@ -269,4 +273,4 @@ def execute_job(spec: Any) -> dict:
             # Round-trip through canonical JSON like the campaign runner,
             # so warm and fresh results are the same object shape.
             return json.loads(canonical_json(payload))
-        return _execute_detect(spec)
+        return _execute_detect(spec, model_cache)

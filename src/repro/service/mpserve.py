@@ -40,6 +40,7 @@ the ``bench_mpserve`` in-bench identity assertion).
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import os
@@ -161,13 +162,11 @@ def build_worker_server(
     worker_tag = f"w{worker_index}"
     multiproc = cfg.workers > 1
 
-    executor = None
     infra = None
     if cfg.infra_faults:
-        from repro.faults import faulty_executor, parse_infra_plan
+        from repro.faults import parse_infra_plan
 
         infra = parse_infra_plan(cfg.infra_faults)
-        executor = faulty_executor(infra)
     cache = None
     if not cfg.no_cache:
         if infra is not None:
@@ -192,8 +191,13 @@ def build_worker_server(
     span_log = JsonlWriter(span_log_path) if span_log_path else None
 
     queue_opts: dict = {}
-    if executor is not None:
-        queue_opts["executor"] = executor
+    if infra is not None:
+        from repro.faults import faulty_executor
+        from repro.service.jobspec import execute_job
+
+        queue_opts["executor"] = faulty_executor(
+            infra, inner=functools.partial(execute_job, model_cache=cache)
+        )
     if multiproc:
         # Fleet-unique job ids plus shared records: a poll for a job
         # accepted by any worker can be answered by any other.

@@ -34,6 +34,7 @@ breaker is open.  See ``docs/robustness.md``.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import queue as _stdqueue
@@ -141,7 +142,7 @@ class ServiceQueue:
         workers: int = 2,
         capacity: int = 16,
         cache: ResultCache | None = None,
-        executor: Callable[[dict], dict] = execute_job,
+        executor: Callable[[dict], dict] | None = None,
         telemetry_enabled: bool = True,
         retry_after_s: float = 1.0,
         job_timeout_s: float | None = None,
@@ -177,7 +178,9 @@ class ServiceQueue:
         self.watchdog_interval_s = watchdog_interval_s
         self.degraded_window_s = degraded_window_s
         self.clock = clock
-        self._executor = executor
+        #: The default executor shares this queue's cache with the model
+        #: store, so no-model jobs train once per key across processes.
+        self._executor = executor or functools.partial(execute_job, model_cache=cache)
         self._n_workers = workers
         self._q: _stdqueue.Queue = _stdqueue.Queue(maxsize=capacity)
         self._lock = threading.Lock()

@@ -78,3 +78,43 @@ class TestTraceMemory:
         for i in range(_MAX_REMEMBERED_TRACES + 10):
             client._remember_trace(f"job-{i}", mint_trace())
         assert len(client._traces) <= _MAX_REMEMBERED_TRACES
+
+
+class _ScriptedClient(ServiceClient):
+    """A client whose job stays ``running`` for ``polls`` status calls;
+    sleeps are recorded, never slept."""
+
+    def __init__(self, polls: int) -> None:
+        self.sleeps: list[float] = []
+        super().__init__("http://127.0.0.1:1", sleep=self.sleeps.append)
+        self._left = polls
+
+    def submit(self, spec, trace=None):
+        return {"id": "job-1"}
+
+    def status(self, job_id):
+        self._left -= 1
+        return {"state": "running" if self._left >= 0 else "done"}
+
+    def result(self, job_id):
+        return {"ok": True}
+
+
+class TestPollSchedule:
+    def test_wait_starts_at_5ms_doubles_and_caps_at_2s(self):
+        client = _ScriptedClient(polls=12)
+        assert client.wait("job-1") == {"ok": True}
+        assert client.sleeps == pytest.approx(
+            [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28, 2.0, 2.0, 2.0]
+        )
+
+    def test_run_forwards_the_poll_cap(self):
+        client = _ScriptedClient(polls=4)
+        assert client.run({"kind": "detect"}, poll_s=0.005, poll_max_s=0.005) == {"ok": True}
+        assert client.sleeps == pytest.approx([0.005] * 4)
+
+    def test_run_defaults_match_wait(self):
+        ran, waited = _ScriptedClient(polls=6), _ScriptedClient(polls=6)
+        ran.run({"kind": "detect"})
+        waited.wait("job-1")
+        assert ran.sleeps == waited.sleeps

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import pathlib
 
 import pytest
 
@@ -97,6 +99,45 @@ class TestExecute:
         via_service = execute_job({"kind": "profile", "spec": shard, "seed": 7})
         direct = run_profile_shard(shard, 7)
         assert canonical_json(via_service) == canonical_json(direct)
+
+
+class TestNoModelJobs:
+    """Jobs that name no model take the model store's default classifier."""
+
+    GOLDEN_TREE = pathlib.Path(__file__).parents[1] / "golden" / "classifier_tree.json"
+
+    @pytest.mark.parametrize("kind", ["detect", "diagnose"])
+    def test_same_bytes_as_a_model_file_trained_at_that_seed(
+        self, kind, trained, tmp_path
+    ):
+        # The tree golden is the seed-0 model of a fresh training, written
+        # independently of the store; ``trained`` only keeps the store warm.
+        model = tmp_path / "seed0.json"
+        model.write_text(json.dumps(json.loads(self.GOLDEN_TREE.read_text())["model"]))
+        spec = {"kind": kind, "benchmark": "AMG2006", "config": "T32-N4", "seed": 0}
+        no_model = canonical_json(execute_job(spec))
+        with_file = canonical_json(execute_job(dict(spec, model=str(model))))
+        assert no_model == with_file
+
+    def test_a_job_with_a_model_never_consults_the_store_or_cache(
+        self, model_path, monkeypatch
+    ):
+        from repro.core.modelstore import ModelStore
+
+        def refuse(*_a, **_kw):
+            raise AssertionError("a job that names a model consulted the store")
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"model cache touched: {name}")
+
+        monkeypatch.setattr(ModelStore, "classifier", refuse)
+        result = execute_job(
+            {"kind": "diagnose", "benchmark": "NW", "config": "T16-N2",
+             "model": model_path},
+            model_cache=Untouchable(),
+        )
+        assert result["kind"] == "diagnose"
 
 
 class TestCliByteIdentity:

@@ -329,3 +329,55 @@ class TestWorkerCountIdentity:
             "result bytes must not depend on the worker count"
         )
         assert json.loads(results[1])  # and they are a real JSON payload
+
+
+def _wait_done(url: str, job_id: str, timeout: float = 120.0) -> None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with urllib.request.urlopen(f"{url}/v1/jobs/{job_id}", timeout=30) as resp:
+            state = json.load(resp)["state"]
+        if state == "done":
+            return
+        assert state != "failed", f"job {job_id} failed"
+        time.sleep(0.05)
+    raise AssertionError(f"job {job_id} did not finish in {timeout}s")
+
+
+class TestFleetModelStore:
+    def test_two_workers_sharing_a_cache_dir_train_once(self, tmp_path):
+        """No-model jobs at one seed, accepted by both workers, train once
+        fleet-wide: one ``model.store`` miss across both span logs."""
+        spans = tmp_path / "spans.jsonl"
+        proc, url = _start_serve(tmp_path, 2, ["--spans", str(spans)])
+        workers_seen: set[str] = set()
+        try:
+            from repro.workloads.suites.registry import BENCHMARKS
+
+            for name in sorted(BENCHMARKS):
+                req = urllib.request.Request(
+                    f"{url}/v1/jobs",
+                    data=json.dumps(
+                        {"kind": "detect", "benchmark": name, "seed": 7}
+                    ).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with urllib.request.urlopen(req, timeout=30) as resp:
+                    job_id = json.load(resp)["id"]
+                workers_seen.add(job_id.split("-")[1])
+                _wait_done(url, job_id)
+                if len(workers_seen) == 2:
+                    break
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=120)
+        assert workers_seen == {"w0", "w1"}, "both workers must accept a job"
+        hits = []
+        for log in (tmp_path / "spans.jsonl.w0", tmp_path / "spans.jsonl.w1"):
+            for line in log.read_text().splitlines():
+                rec = json.loads(line)
+                if rec["name"] == "model.store":
+                    hits.append(rec["attrs"]["hit"])
+        assert hits.count("miss") == 1, hits
+        assert "disk" in hits, "the other worker must read the shared entry"
+
